@@ -125,7 +125,9 @@ fn run_cell(
         let mut trainer = ShardedTrainer::new(geo, env, state, config.clone(), shards)
             .unwrap_or_else(|e| panic!("{shards} shards failed to build: {e}"));
         let ghost_vertices = trainer.total_ghosts();
-        trainer.run(env).unwrap_or_else(|e| panic!("{shards} shards failed to train: {e}"));
+        trainer
+            .run(env, &mut rlcut::observer::NoopObserver)
+            .unwrap_or_else(|e| panic!("{shards} shards failed to train: {e}"));
         let shuffle_bytes = trainer.shuffle_bytes();
         let result = trainer.finish(env);
         let record = RunRecord {

@@ -11,14 +11,14 @@
 
 use std::time::{Duration, Instant};
 
-use geograph::{DcId, GeoGraph, GraphDelta};
+use geograph::{DcId, GeoGraph, GraphDelta, VertexId};
 use geopart::{DeltaApplyStats, HybridState, PlacementState, PlanError, TrafficProfile};
 use geosim::CloudEnv;
 
 use crate::config::RlCutConfig;
+use crate::observer::NoopObserver;
 use crate::shard::{refresh_views, InProcessShuffle, ShardCarry, ShardError, ShardedTrainer};
-use crate::trainer::{SessionResources, TrainerSession};
-use geograph::{ShardSpec, ShardView};
+use crate::trainer::{Proposer, SessionResources, Trainer, TrainerSession};
 
 /// Why a window could not be partitioned.
 #[derive(Debug)]
@@ -143,7 +143,7 @@ pub struct AdaptiveRlCut {
     /// was unsharded or built every view fresh).
     last_shard_refreshes: Option<usize>,
     /// Ask each window's session to journal its applied moves (the
-    /// durable driver's WAL feed). Unsharded only.
+    /// durable driver's WAL feed).
     journal_moves: bool,
 }
 
@@ -184,8 +184,7 @@ impl AdaptiveRlCut {
 
     /// Journals every applied migration of each window's session, handed
     /// back through [`Self::take_window_journal`]. The durable driver's
-    /// WAL feed. Incompatible with [`Self::with_shards`] (the sharded
-    /// runtime applies moves shard-locally, outside the journaled path).
+    /// WAL feed.
     pub fn with_move_journal(mut self) -> Self {
         self.journal_moves = true;
         self
@@ -323,11 +322,6 @@ impl AdaptiveRlCut {
                 snapshot: geo.num_vertices(),
             });
         }
-        assert!(
-            !(self.journal_moves && self.num_shards.is_some()),
-            "move journaling is unsharded-only: the sharded runtime applies moves outside \
-             the journaled path"
-        );
         let mut config = self.config.clone().with_t_opt(t_opt);
         if let Some(fraction) = self.budget_fraction {
             config.budget =
@@ -373,6 +367,7 @@ impl AdaptiveRlCut {
         };
         let delta_apply = prep_start.elapsed();
 
+        let touched = delta.filter(|_| incremental).map(GraphDelta::touched);
         let result = if let Some(num_shards) = self.num_shards {
             // Sharded runtime: carry the shard topology across windows —
             // a delta window routes the change to the owning shards and
@@ -387,10 +382,7 @@ impl AdaptiveRlCut {
                 }
                 _ => {
                     self.last_shard_refreshes = None;
-                    let spec = ShardSpec::contiguous(geo.num_vertices(), num_shards);
-                    let views =
-                        (0..num_shards).map(|s| ShardView::build(&geo.graph, &spec, s)).collect();
-                    ShardCarry { spec, views }
+                    ShardCarry::build(&geo.graph, num_shards)
                 }
             };
             let transport = Box::new(InProcessShuffle::new(num_shards));
@@ -403,42 +395,15 @@ impl AdaptiveRlCut {
                 carry,
                 transport,
             )?;
-            if incremental {
-                let touched = delta.expect("checked by `incremental`").touched();
-                session.focus_on(touched);
-                let floor =
-                    (8.0 * touched.len() as f64 / session.num_trainable().max(1) as f64).min(1.0);
-                session.boost_sampling(floor);
-            }
-            session.run(env)?;
+            self.train_window(&mut session, env, touched)?;
             let (result, resources, carry) = session.finish_with_parts(env);
             self.resources = Some(resources);
             self.shard_carry = Some(carry);
             result
         } else {
-            let mut session = TrainerSession::with_resources(
-                geo,
-                env,
-                state,
-                config,
-                self.resources.take().unwrap_or_default(),
-            );
-            if self.journal_moves {
-                session.enable_move_journal();
-            }
-            if incremental {
-                // The delta's touched neighborhoods are where quality
-                // degraded: front them in the sampling order and floor the
-                // Eq 14 rate so even a converged schedule revisits them
-                // (the generalization of the fault path's ×8 initial-rate
-                // boost).
-                let touched = delta.expect("checked by `incremental`").touched();
-                session.focus_on(touched);
-                let floor =
-                    (8.0 * touched.len() as f64 / session.num_trainable().max(1) as f64).min(1.0);
-                session.boost_sampling(floor);
-            }
-            session.run(env, &mut crate::observer::NoopObserver);
+            let resources = self.resources.take().unwrap_or_default();
+            let mut session = TrainerSession::with_resources(geo, env, state, config, resources);
+            let Ok(()) = self.train_window(&mut session, env, touched);
             let (result, resources) = session.finish_with_resources(env);
             self.resources = Some(resources);
             result
@@ -460,6 +425,29 @@ impl AdaptiveRlCut {
             migrations,
             delta_stats,
         })
+    }
+
+    /// Trains one window's session to completion. On an incremental window
+    /// the delta's `touched` neighborhoods are where quality degraded:
+    /// they go to the front of the sampling order and the Eq 14 rate is
+    /// floored so even a converged schedule revisits them (the
+    /// generalization of the fault path's ×8 initial-rate boost).
+    fn train_window<P: Proposer>(
+        &self,
+        session: &mut Trainer<'_, P>,
+        env: &CloudEnv,
+        touched: Option<&[VertexId]>,
+    ) -> Result<(), P::Error> {
+        if self.journal_moves {
+            session.enable_move_journal();
+        }
+        if let Some(touched) = touched {
+            session.focus_on(touched);
+            let floor =
+                (8.0 * touched.len() as f64 / session.num_trainable().max(1) as f64).min(1.0);
+            session.boost_sampling(floor);
+        }
+        session.run(env, &mut NoopObserver)
     }
 }
 
@@ -758,6 +746,66 @@ mod tests {
             sharded.last_shard_refreshes().expect("tail delta routed") < 3,
             "a one-edge delta must not refresh every shard view"
         );
+    }
+
+    #[test]
+    fn sharded_windows_journal_like_unsharded() {
+        // The journal belongs to the shared training step, so a sharded
+        // window journals exactly the moves an unsharded one does: same
+        // steps, same apply order, same reconcile sweep.
+        let n = 400;
+        let edges = preferential_attachment_edges(n, 3, 31);
+        let (initial, stream) = split_for_dynamic(&edges, n, 0.6, 10_000);
+        let windows: Vec<_> = stream.windows(2_500).take(2).collect();
+        assert_eq!(windows.len(), 2, "need two delta windows");
+        let full_graph = {
+            let mut b = GraphBuilder::new(n);
+            b.add_edges(initial.edges());
+            apply_events(&mut b, stream.events());
+            b.build()
+        };
+        let cfg = LocalityConfig::paper_default(31);
+        let locations = assign_locations(&full_graph, &cfg);
+        let sizes: Vec<u64> = vec![2048; full_graph.num_vertices()];
+        let geo_of = |graph: &geograph::Graph| {
+            let n = graph.num_vertices();
+            GeoGraph::new(graph.clone(), locations[..n].to_vec(), sizes[..n].to_vec(), cfg.num_dcs)
+        };
+        let env = ec2_eight_regions();
+        let config = RlCutConfig::new(1.0)
+            .with_seed(7)
+            .with_threads(2)
+            .with_theta(8)
+            .with_fixed_sample_rate(0.5)
+            .with_max_steps(4);
+        let t_opt = Duration::from_secs(60);
+        let mut plain = AdaptiveRlCut::new(config.clone(), Some(0.4)).with_move_journal();
+        let mut sharded = AdaptiveRlCut::new(config, Some(0.4)).with_move_journal().with_shards(3);
+
+        let mut graph = initial;
+        let geo0 = geo_of(&graph);
+        let p0 = TrafficProfile::uniform(geo0.num_vertices(), 8.0);
+        plain.on_window(&geo0, &env, p0.clone(), 10.0, t_opt).expect("plain window 0");
+        sharded.on_window(&geo0, &env, p0, 10.0, t_opt).expect("sharded window 0");
+        let mut journals = vec![(plain.take_window_journal(), sharded.take_window_journal())];
+        assert_eq!(plain.masters(), sharded.masters(), "window 0 diverged");
+
+        for window in &windows {
+            let delta = geograph::GraphDelta::from_events(&graph, window);
+            graph = graph.apply_delta(&delta);
+            let geo = geo_of(&graph);
+            let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
+            plain.on_window_delta(&geo, &env, &delta, profile.clone(), 10.0, t_opt).expect("plain");
+            sharded.on_window_delta(&geo, &env, &delta, profile, 10.0, t_opt).expect("sharded");
+            journals.push((plain.take_window_journal(), sharded.take_window_journal()));
+            assert_eq!(plain.masters(), sharded.masters(), "delta window diverged");
+        }
+        for (w, (p, s)) in journals.iter().enumerate() {
+            assert_eq!(p, s, "window {w}: sharded journal differs");
+        }
+        let entries: Vec<u32> = journals.iter().flat_map(|(p, _)| p.iter().map(|e| e.0)).collect();
+        assert!(entries.iter().any(|&s| s != crate::trainer::RECONCILE_STEP), "no step moves");
+        assert!(entries.contains(&crate::trainer::RECONCILE_STEP), "no reconcile sweep");
     }
 
     #[test]

@@ -2,8 +2,6 @@
 //! after every step, for progress bars, live dashboards, or experiment
 //! logging — without coupling the trainer to any output format.
 
-use geosim::CloudEnv;
-
 use crate::stats::StepStats;
 
 /// Receives training progress. All methods have default no-op impls, so
@@ -52,25 +50,32 @@ impl TrainingObserver for LogObserver {
     }
 }
 
-/// Convenience wrapper: run a partition with an observer attached.
-pub fn partition_observed<'g>(
-    geo: &'g geograph::GeoGraph,
-    env: &CloudEnv,
-    profile: geopart::TrafficProfile,
-    num_iterations: f64,
-    config: &crate::RlCutConfig,
-    observer: &mut dyn TrainingObserver,
-) -> crate::RlCutResult<'g> {
-    crate::trainer::partition_with_observer(geo, env, profile, num_iterations, config, observer)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use geograph::generators::{rmat, RmatConfig};
     use geograph::locality::LocalityConfig;
     use geograph::GeoGraph;
+    use geopart::{HybridState, TrafficProfile};
     use geosim::regions::ec2_eight_regions;
+    use geosim::CloudEnv;
+
+    /// `partition` with an observer: `new` → `run(env, observer)` →
+    /// `finish`.
+    fn partition_observed<'g>(
+        geo: &'g GeoGraph,
+        env: &CloudEnv,
+        profile: TrafficProfile,
+        config: &crate::RlCutConfig,
+        observer: &mut dyn TrainingObserver,
+    ) -> crate::RlCutResult<'g> {
+        let theta = geograph::degree::suggest_theta(&geo.graph, 0.05);
+        let state =
+            HybridState::from_masters(geo, env, geo.locations.clone(), theta, profile, 10.0);
+        let mut session = crate::TrainerSession::new(geo, env, state, config.clone());
+        let Ok(()) = session.run(env, observer);
+        session.finish(env)
+    }
 
     #[test]
     fn log_observer_captures_every_step() {
@@ -78,10 +83,10 @@ mod tests {
         let geo = GeoGraph::from_graph(g, &LocalityConfig::paper_default(12));
         let env = ec2_eight_regions();
         let budget = geosim::cost::default_budget(&env, &geo.locations, &geo.data_sizes, 0.4);
-        let profile = geopart::TrafficProfile::uniform(geo.num_vertices(), 8.0);
+        let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
         let config = crate::RlCutConfig::new(budget).with_seed(1).with_threads(2);
         let mut log = LogObserver::default();
-        let result = partition_observed(&geo, &env, profile, 10.0, &config, &mut log);
+        let result = partition_observed(&geo, &env, profile, &config, &mut log);
         // start + one per step + finish.
         assert_eq!(log.lines.len(), result.steps.len() + 2);
         assert!(log.lines[0].starts_with("training:"));
@@ -94,11 +99,11 @@ mod tests {
         let geo = GeoGraph::from_graph(g, &LocalityConfig::paper_default(13));
         let env = ec2_eight_regions();
         let budget = geosim::cost::default_budget(&env, &geo.locations, &geo.data_sizes, 0.4);
-        let profile = geopart::TrafficProfile::uniform(geo.num_vertices(), 8.0);
+        let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
         let config = crate::RlCutConfig::new(budget).with_seed(2).with_threads(2);
         let plain = crate::partition(&geo, &env, profile.clone(), 10.0, &config);
         let mut noop = NoopObserver;
-        let observed = partition_observed(&geo, &env, profile, 10.0, &config, &mut noop);
+        let observed = partition_observed(&geo, &env, profile, &config, &mut noop);
         assert_eq!(plain.state.core().masters(), observed.state.core().masters());
     }
 }

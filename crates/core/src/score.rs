@@ -1,5 +1,6 @@
 //! The Eq 10 score function and its adaptive `tw`/`cw` weight schedule.
 
+use geograph::DcId;
 use geopart::Objective;
 
 /// The adaptive objective weights of Eq 10.
@@ -49,6 +50,28 @@ pub fn score(last: &Objective, candidate: &Objective, weights: Weights) -> f64 {
         0.0
     };
     weights.tw * time_term + weights.cw * cost_term
+}
+
+/// ρ_v (Eq 10/11): the best-scoring destination among `objs`, the
+/// projected objective of every candidate DC. The master's own slot is
+/// pinned to the frozen step objective (staying put scores zero); ties go
+/// to the lowest DC id.
+pub fn best_destination(
+    step_obj: &Objective,
+    objs: &[Objective],
+    master: DcId,
+    weights: Weights,
+) -> DcId {
+    let mut best = (0 as DcId, f64::NEG_INFINITY);
+    for (d, obj) in objs.iter().enumerate() {
+        let d = d as DcId;
+        let candidate = if d == master { step_obj } else { obj };
+        let s = score(step_obj, candidate, weights);
+        if s > best.1 {
+            best = (d, s);
+        }
+    }
+    best.0
 }
 
 #[cfg(test)]
