@@ -292,6 +292,22 @@ pub(crate) fn live_os_threads() -> usize {
         .unwrap_or(0)
 }
 
+/// [`live_os_threads`] once it has dropped to `limit`, polling for up to
+/// five seconds. Tests run in parallel, so a single sample can catch another
+/// test's pool alive; a leaked worker never exits and still shows after the
+/// wait.
+#[cfg(test)]
+pub(crate) fn live_os_threads_settled(limit: usize) -> usize {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        let n = live_os_threads();
+        if n <= limit || std::time::Instant::now() >= deadline {
+            return n;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,7 +442,7 @@ mod tests {
         }
         // All eight workers joined on drop; allow unrelated runtime threads
         // some slack in either direction.
-        let after = live_os_threads();
+        let after = live_os_threads_settled(before + 1);
         assert!(
             after <= before + 1,
             "worker threads leaked: {before} before pool, {after} after drop"

@@ -221,7 +221,7 @@ mod tests {
                     .unwrap();
             assert_eq!(report.crash_recoveries, 1);
         }
-        let after = crate::pool::live_os_threads();
+        let after = crate::pool::live_os_threads_settled(before + 1);
         assert!(
             after <= before + 1,
             "pool workers leaked across fault recoveries: {before} -> {after}"
