@@ -7,39 +7,25 @@ use crate::VertexId;
 /// Accumulates directed edges and builds CSR [`Graph`] snapshots.
 ///
 /// The builder is the mutation point of the crate: generators, dataset
-/// loaders and dynamic streams all funnel through it. It optionally removes
+/// loaders and dynamic streams all funnel through it. It removes
 /// self-loops and duplicate edges at build time — real-world partitioning
 /// papers (including RLCut's evaluation graphs) work on simple digraphs.
+/// Build a graph verbatim, without cleaning, with [`Graph::from_edges`].
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
     num_vertices: usize,
     edges: Vec<(VertexId, VertexId)>,
-    dedup: bool,
-    drop_self_loops: bool,
 }
 
 impl GraphBuilder {
-    /// New builder for a graph with `n` vertices. Deduplication and
-    /// self-loop removal are on by default.
+    /// New builder for a graph with `n` vertices.
     pub fn new(n: usize) -> Self {
-        GraphBuilder { num_vertices: n, edges: Vec::new(), dedup: true, drop_self_loops: true }
+        GraphBuilder { num_vertices: n, edges: Vec::new() }
     }
 
     /// Pre-allocates space for `m` edges.
     pub fn with_edge_capacity(mut self, m: usize) -> Self {
         self.edges.reserve(m);
-        self
-    }
-
-    /// Keep duplicate edges instead of deduplicating at build time.
-    pub fn keep_duplicates(mut self) -> Self {
-        self.dedup = false;
-        self
-    }
-
-    /// Keep self-loops instead of dropping them at build time.
-    pub fn keep_self_loops(mut self) -> Self {
-        self.drop_self_loops = false;
         self
     }
 
@@ -68,24 +54,14 @@ impl GraphBuilder {
         self.num_vertices
     }
 
-    /// Number of raw (pre-cleaning) edges currently accumulated.
-    pub fn num_raw_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Builds an immutable CSR snapshot, applying the configured cleaning.
-    /// The builder keeps its edges, so further additions and rebuilds are
-    /// possible (dynamic-graph windows rebuild per window).
+    /// Builds an immutable CSR snapshot with self-loops and duplicates
+    /// removed. The builder keeps its edges, so further additions and
+    /// rebuilds are possible (dynamic-graph windows rebuild per window).
+    ///
+    /// Panics on an edge id `>= n`; [`GraphBuilder::try_build`] returns it
+    /// as a typed error instead.
     pub fn build(&self) -> Graph {
-        let mut edges = self.edges.clone();
-        if self.drop_self_loops {
-            edges.retain(|&(u, v)| u != v);
-        }
-        if self.dedup {
-            edges.sort_unstable();
-            edges.dedup();
-        }
-        Graph::from_edges(self.num_vertices, &edges)
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Non-panicking [`GraphBuilder::build`]: out-of-range ids and offset
@@ -94,30 +70,10 @@ impl GraphBuilder {
     /// untrusted edge streams safe end to end.
     pub fn try_build(&self) -> Result<Graph, BuildError> {
         let mut edges = self.edges.clone();
-        Self::clean(&mut edges, self.dedup, self.drop_self_loops);
+        edges.retain(|&(u, v)| u != v);
+        edges.sort_unstable();
+        edges.dedup();
         Graph::try_from_edges(self.num_vertices, &edges)
-    }
-
-    /// Consumes the builder, cleaning its edge list **in place** — no
-    /// clone. `build` holds two copies of the edge list at peak (the
-    /// accumulated list plus the cleaned clone) on top of the CSR being
-    /// constructed; `finish` holds one. Use it whenever the builder is not
-    /// rebuilt across windows.
-    pub fn finish(mut self) -> Result<Graph, BuildError> {
-        Self::clean(&mut self.edges, self.dedup, self.drop_self_loops);
-        let g = Graph::try_from_edges(self.num_vertices, &self.edges)?;
-        drop(self.edges);
-        Ok(g)
-    }
-
-    fn clean(edges: &mut Vec<(VertexId, VertexId)>, dedup: bool, drop_self_loops: bool) {
-        if drop_self_loops {
-            edges.retain(|&(u, v)| u != v);
-        }
-        if dedup {
-            edges.sort_unstable();
-            edges.dedup();
-        }
     }
 }
 
@@ -137,15 +93,6 @@ mod tests {
         assert!(g.has_edge(0, 1));
         assert!(g.has_edge(1, 2));
         assert!(!g.has_edge(1, 1));
-    }
-
-    #[test]
-    fn keep_duplicates_and_loops() {
-        let mut b = GraphBuilder::new(2).keep_duplicates().keep_self_loops();
-        b.add_edge(0, 0);
-        b.add_edge(0, 1);
-        b.add_edge(0, 1);
-        assert_eq!(b.build().num_edges(), 3);
     }
 
     #[test]
@@ -171,16 +118,8 @@ mod tests {
     }
 
     #[test]
-    fn finish_matches_build() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edges([(0, 1), (0, 1), (2, 2), (3, 0), (1, 2)]);
-        let built = b.build();
-        assert_eq!(b.finish().unwrap(), built);
-    }
-
-    #[test]
     fn try_build_reports_out_of_range() {
-        let mut b = GraphBuilder::new(2).keep_self_loops().keep_duplicates();
+        let mut b = GraphBuilder::new(2);
         b.edges.push((0, 9)); // bypasses the debug_assert in add_edge
         assert!(matches!(
             b.try_build(),

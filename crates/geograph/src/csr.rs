@@ -18,8 +18,15 @@ use crate::VertexId;
 /// logical content, so graphs at different offset widths compare equal
 /// when they hold the same adjacency.
 ///
-/// Construction is via [`Graph::from_edges`] or [`crate::GraphBuilder`];
-/// once built the structure is immutable. Dynamic workloads rebuild
+/// Two builds give bit-identical graphs over the same edge multiset.
+/// *Staged*: [`Graph::from_edges`] over an in-memory slice, verbatim, or
+/// [`crate::GraphBuilder`] with self-loop and duplicate removal — the
+/// faster path when the edges already sit in memory, and the reference
+/// the streamed one is tested against. *Streamed*: [`crate::build_chunked`]
+/// over a re-emittable [`crate::ChunkedEdges`] source, with no staging
+/// copy; the same kernel builds one shard's rows.
+///
+/// Once built the structure is immutable. Dynamic workloads rebuild
 /// snapshots per time window (see [`crate::dynamic`]), matching the paper's
 /// window-batched update model (§VI-A, Exp#5).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -39,11 +46,7 @@ impl Graph {
     /// [`crate::io`]). Duplicate edges and self-loops are kept verbatim;
     /// use [`crate::GraphBuilder`] for cleaning.
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Self {
-        assert!(n < VertexId::MAX as usize, "vertex count exceeds VertexId range");
-        for &(u, v) in edges {
-            assert!((u as usize) < n && (v as usize) < n, "edge ({u},{v}) out of range for n={n}");
-        }
-        Self::build_validated(n, edges).expect("offset accumulation overflowed usize")
+        Self::try_from_edges(n, edges).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Non-panicking [`Graph::from_edges`]: every range and overflow
@@ -59,13 +62,8 @@ impl Graph {
                 return Err(BuildError::EdgeOutOfRange { u, v, n });
             }
         }
-        Self::build_validated(n, edges)
-    }
-
-    /// Count/scatter/sort over pre-validated edges; offset accumulation is
-    /// the one remaining failure point (checked). The final offset arrays
-    /// narrow to the width the edge count needs.
-    fn build_validated(n: usize, edges: &[(VertexId, VertexId)]) -> Result<Self, BuildError> {
+        // Count/scatter/sort; the final offset arrays narrow to the width
+        // the edge count needs.
         let mut out_degree = vec![0usize; n];
         let mut in_degree = vec![0usize; n];
         for &(u, v) in edges {
@@ -100,10 +98,9 @@ impl Graph {
     }
 
     /// Assembles a graph directly from CSR arrays. Used by the streaming
-    /// ingest path ([`crate::stream`]), the compressed-adjacency decoder
-    /// ([`crate::compress`]) and the wire decoder ([`crate::wire`]), which
-    /// produce canonical (sorted-run) arrays without ever materializing an
-    /// edge list.
+    /// ingest path ([`crate::stream`]) and the wire decoder
+    /// ([`crate::wire`]), which produce canonical (sorted-run) arrays
+    /// without ever materializing an edge list.
     ///
     /// Invariants (checked in debug builds): offset arrays have `n + 1`
     /// monotone entries starting at 0 and ending at the flat length, both

@@ -8,6 +8,8 @@
 //!   engines about *out*-edges).
 //! * [`GraphBuilder`] — edge-list accumulation with deduplication and
 //!   self-loop removal.
+//! * [`stream`] — two-pass streamed CSR ingest from a re-emittable edge
+//!   source, for the whole graph or one shard's rows ([`ShardView`]).
 //! * [`generators`] — deterministic R-MAT, Erdős–Rényi and preferential
 //!   attachment generators used to synthesize scaled analogs of the paper's
 //!   datasets (LiveJournal, Orkut, uk-2005, it-2004, Twitter — Table II).
@@ -31,7 +33,6 @@
 //! bit-for-bit reproducible.
 
 pub mod builder;
-pub mod compress;
 pub mod csr;
 pub mod datasets;
 pub mod degree;
@@ -51,7 +52,6 @@ pub mod weights;
 pub mod wire;
 
 pub use builder::GraphBuilder;
-pub use compress::{CompressPolicy, CompressedGraph};
 pub use csr::Graph;
 pub use datasets::Dataset;
 pub use degree::DegreeStats;

@@ -1,7 +1,7 @@
 //! Width-adaptive CSR offset arrays.
 //!
 //! Every CSR-shaped structure in the workspace — the [`crate::Graph`]
-//! adjacency, the compressed cold rows, shard views — carries one offset
+//! adjacency and the streamed ingest's prefix sums — carries one offset
 //! entry per vertex per direction. Storing those entries as `usize` costs
 //! 8 bytes each on a 64-bit host even though almost every real graph's
 //! edge count fits comfortably in 32 bits: at LiveJournal scale (4.8M

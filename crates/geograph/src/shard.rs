@@ -30,12 +30,12 @@
 //! owned edges are a subset of that, so the narrow width is a proven
 //! invariant here rather than a build-time choice.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::csr::Graph;
 use crate::delta::GraphDelta;
 use crate::stream::{
-    compact_runs, BuildError, ChunkedEdges, IngestPool, SharedSlice, StreamConfig,
+    check_vertex_count, ingest_rows, BuildError, ChunkedEdges, IngestPool, RowMap, StreamConfig,
 };
 use crate::VertexId;
 
@@ -137,6 +137,106 @@ impl ShardSpec {
     }
 }
 
+/// A shard's ghost fringe around its owned range `[start, end)`, and the
+/// order-isomorphic global→local id map over owned ∪ fringe. Both view
+/// builders assemble their ghosts, `locals` and local ids through it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Fringe {
+    start: VertexId,
+    end: VertexId,
+    /// Every in/out-neighbor of an owned vertex outside `[start, end)`,
+    /// ascending, deduplicated.
+    ghosts: Vec<VertexId>,
+    /// Number of ghosts below `start`.
+    below: usize,
+}
+
+impl Fringe {
+    /// `ghosts` must be ascending, deduplicated and outside the range.
+    fn new(start: VertexId, end: VertexId, ghosts: Vec<VertexId>) -> Fringe {
+        let below = ghosts.partition_point(|&g| g < start);
+        Fringe { start, end, ghosts, below }
+    }
+
+    fn owns(&self, v: VertexId) -> bool {
+        v >= self.start && v < self.end
+    }
+
+    fn num_owned(&self) -> usize {
+        (self.end - self.start) as usize
+    }
+
+    /// All local vertices — ghosts below, the owned range, ghosts above —
+    /// in ascending global-id order; local id = index.
+    fn locals(&self) -> Vec<VertexId> {
+        let mut locals = Vec::with_capacity(self.num_owned() + self.ghosts.len());
+        locals.extend_from_slice(&self.ghosts[..self.below]);
+        locals.extend(self.start..self.end);
+        locals.extend_from_slice(&self.ghosts[self.below..]);
+        debug_assert!(locals.windows(2).all(|w| w[0] < w[1]));
+        locals
+    }
+
+    /// Local id of global vertex `v`, if `v` is owned or in the fringe.
+    #[inline]
+    fn to_local(&self, v: VertexId) -> Option<u32> {
+        if self.owns(v) {
+            Some(self.below as u32 + (v - self.start))
+        } else if v < self.start {
+            self.ghosts[..self.below].binary_search(&v).ok().map(|i| i as u32)
+        } else {
+            let above = self.ghosts[self.below..].binary_search(&v).ok()?;
+            Some((self.below + self.num_owned() + above) as u32)
+        }
+    }
+}
+
+/// The shard [`RowMap`] of the streamed ingest: rows are the owned range,
+/// the count pass marks cross-range neighbors in a bitmap, and the sealed
+/// fringe maps neighbors to local ids for the scatter pass.
+struct ShardRows {
+    /// Empty until [`RowMap::seal`] turns the bitmap into the fringe.
+    fringe: Fringe,
+    /// One bit per global vertex: set when it is a cross-range neighbor of
+    /// an owned vertex. n/8 bytes — bounded regardless of how many ghost
+    /// candidates a skewed stream produces.
+    ghost_bits: Vec<AtomicU64>,
+}
+
+impl RowMap for ShardRows {
+    fn num_rows(&self) -> usize {
+        self.fringe.num_owned()
+    }
+
+    fn row(&self, v: VertexId) -> Option<usize> {
+        self.fringe.owns(v).then(|| (v - self.fringe.start) as usize)
+    }
+
+    fn mark_foreign(&self, w: VertexId) {
+        self.ghost_bits[(w as usize) >> 6].fetch_or(1 << (w & 63), Ordering::Relaxed);
+    }
+
+    fn seal(&mut self) {
+        // Only non-owned vertices ever get a bit, and the bitmap scan walks
+        // ascending ids — the fringe comes out sorted and deduplicated.
+        let mut ghosts: Vec<VertexId> = Vec::new();
+        for (w, word) in self.ghost_bits.iter().enumerate() {
+            let mut bits = word.load(Ordering::Relaxed);
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                ghosts.push((w * 64 + b) as VertexId);
+                bits &= bits - 1;
+            }
+        }
+        self.ghost_bits = Vec::new();
+        self.fringe = Fringe::new(self.fringe.start, self.fringe.end, ghosts);
+    }
+
+    fn id(&self, w: VertexId) -> Option<VertexId> {
+        self.fringe.to_local(w)
+    }
+}
+
 /// One shard's materialized view of the graph: owned adjacency re-indexed
 /// to local ids, plus the sorted ghost fringe.
 ///
@@ -150,11 +250,8 @@ impl ShardSpec {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardView {
     shard: usize,
-    start: VertexId,
-    end: VertexId,
-    /// Ghost fringe: every in/out-neighbor of an owned vertex outside
-    /// `[start, end)`, ascending, deduplicated.
-    ghosts: Vec<VertexId>,
+    /// Owned range, ghost fringe and the local-id map.
+    fringe: Fringe,
     /// All local vertices (owned ∪ ghosts) in ascending global-id order;
     /// local id = index into this table.
     locals: Vec<VertexId>,
@@ -188,24 +285,8 @@ impl ShardView {
         }
         ghosts.sort_unstable();
         ghosts.dedup();
-
-        // Ascending merge of ghosts-below, owned range, ghosts-above.
-        let below = ghosts.partition_point(|&g| g < start);
-        let mut locals = Vec::with_capacity(owned + ghosts.len());
-        locals.extend_from_slice(&ghosts[..below]);
-        locals.extend(start..end);
-        locals.extend_from_slice(&ghosts[below..]);
-        debug_assert!(locals.windows(2).all(|w| w[0] < w[1]));
-
-        let to_local = |v: VertexId| -> u32 {
-            if v >= start && v < end {
-                below as u32 + (v - start)
-            } else if v < start {
-                ghosts[..below].binary_search(&v).expect("fringe covers every neighbor") as u32
-            } else {
-                (below + owned + ghosts[below..].binary_search(&v).expect("fringe")) as u32
-            }
-        };
+        let fringe = Fringe::new(start, end, ghosts);
+        let to_local = |v: VertexId| fringe.to_local(v).expect("fringe covers every neighbor");
 
         let mut out_offsets = Vec::with_capacity(owned + 1);
         let mut in_offsets = Vec::with_capacity(owned + 1);
@@ -222,10 +303,8 @@ impl ShardView {
 
         ShardView {
             shard,
-            start,
-            end,
-            ghosts,
-            locals,
+            locals: fringe.locals(),
+            fringe,
             out_offsets,
             out_targets,
             in_offsets,
@@ -239,16 +318,19 @@ impl ShardView {
     /// planes (owned-range `u32` counters plus one ghost bit per global
     /// vertex).
     ///
-    /// The result is **bit-identical** to
+    /// This is the streamed ingest kernel of [`crate::stream`] run over the
+    /// owned rows, storing local ids. The result is **bit-identical** to
     /// `ShardView::build(&build_chunked(src, cfg, pool)?.0, spec, shard)`
-    /// at any chunk count and thread count: pass 1 counts owned degrees
-    /// and marks cross-range neighbors, pass 2 scatters local ids through
-    /// atomic cursors, pass 3 sorts each run (the local↔global mapping is
-    /// monotone, so sorted-local equals mapped sorted-global), and the
-    /// optional dedup compaction mirrors the full build's. Error
-    /// conditions are also identical — an out-of-range edge or a stream
-    /// at 2^32 kept edges fails here exactly as it fails the global
-    /// build, even when the offending edge is owned by another shard.
+    /// at any chunk count and thread count: the local↔global mapping is
+    /// monotone, so a sorted run of local ids is the mapped image of the
+    /// global build's sorted run. Error conditions are also identical — an
+    /// out-of-range edge or a stream at 2^32 kept edges fails here exactly
+    /// as it fails the global build, even when the offending edge is owned
+    /// by another shard. A source whose second pass changes the edge count,
+    /// an owned run or the fringe is [`BuildError::SourceChanged`]; a
+    /// change confined to other shards' rows leaves this view unaffected
+    /// and is not seen. A `spec` that does not cover the stream's vertex
+    /// count is [`BuildError::ShardSpecMismatch`].
     pub fn build_streamed<S: ChunkedEdges + ?Sized>(
         src: &S,
         cfg: StreamConfig,
@@ -257,286 +339,35 @@ impl ShardView {
         pool: &dyn IngestPool,
     ) -> Result<(ShardView, ShardIngestReport), BuildError> {
         let n = src.num_vertices();
-        if n >= VertexId::MAX as usize {
-            return Err(BuildError::TooManyVertices { n });
+        check_vertex_count(n)?;
+        if spec.num_vertices() != n {
+            return Err(BuildError::ShardSpecMismatch { spec: spec.num_vertices(), n });
         }
-        assert_eq!(
-            spec.num_vertices(),
-            n,
-            "shard spec covers {} vertices, stream has {}",
-            spec.num_vertices(),
-            n
-        );
         let (start, end) = spec.range(shard);
-        let owned = (end - start) as usize;
-        let num_chunks = src.num_chunks();
-
-        // ---- Pass 1: count owned degrees, mark the ghost fringe. ---------
-        let out_cnt: Vec<AtomicU32> = (0..owned).map(|_| AtomicU32::new(0)).collect();
-        let in_cnt: Vec<AtomicU32> = (0..owned).map(|_| AtomicU32::new(0)).collect();
-        // One bit per global vertex: set when it is a cross-range neighbor
-        // of an owned vertex. n/8 bytes — bounded regardless of how many
-        // per-thread ghost candidates a skewed stream produces.
-        let ghost_bits: Vec<AtomicU64> = (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
-        let raw_edges = AtomicU64::new(0);
-        let loops_dropped = AtomicU64::new(0);
-        let bad_edge = AtomicU64::new(u64::MAX);
-
-        let next_chunk = AtomicUsize::new(0);
-        pool.run(&|_worker| {
-            let mut local_raw = 0u64;
-            let mut local_loops = 0u64;
-            loop {
-                let c = next_chunk.fetch_add(1, Ordering::Relaxed);
-                if c >= num_chunks {
-                    break;
-                }
-                src.emit(c, &mut |u, v| {
-                    local_raw += 1;
-                    if (u as usize) >= n || (v as usize) >= n {
-                        let packed = ((u as u64) << 32) | v as u64;
-                        let _ = bad_edge.compare_exchange(
-                            u64::MAX,
-                            packed,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        );
-                        return;
-                    }
-                    if cfg.drop_self_loops && u == v {
-                        local_loops += 1;
-                        return;
-                    }
-                    let u_owned = u >= start && u < end;
-                    let v_owned = v >= start && v < end;
-                    if u_owned {
-                        out_cnt[(u - start) as usize].fetch_add(1, Ordering::Relaxed);
-                        if !v_owned {
-                            ghost_bits[(v as usize) >> 6]
-                                .fetch_or(1 << (v & 63), Ordering::Relaxed);
-                        }
-                    }
-                    if v_owned {
-                        in_cnt[(v - start) as usize].fetch_add(1, Ordering::Relaxed);
-                        if !u_owned {
-                            ghost_bits[(u as usize) >> 6]
-                                .fetch_or(1 << (u & 63), Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-            raw_edges.fetch_add(local_raw, Ordering::Relaxed);
-            loops_dropped.fetch_add(local_loops, Ordering::Relaxed);
-        });
-
-        let raw_edges = raw_edges.into_inner();
-        let loops_dropped = loops_dropped.into_inner();
-        let bad = bad_edge.into_inner();
-        if bad != u64::MAX {
-            return Err(BuildError::EdgeOutOfRange {
-                u: (bad >> 32) as VertexId,
-                v: bad as VertexId,
-                n,
-            });
-        }
-        let kept = raw_edges - loops_dropped;
-        if kept > VertexId::MAX as u64 {
-            return Err(BuildError::TooManyEdges { edges: kept });
-        }
-
-        // ---- Ghost fringe and local-id table. ----------------------------
-        // Only non-owned vertices ever get a bit, and the bitmap scan walks
-        // ascending ids — the fringe comes out sorted and deduplicated.
-        let mut ghosts: Vec<VertexId> = Vec::new();
-        for (w, word) in ghost_bits.iter().enumerate() {
-            let mut bits = word.load(Ordering::Relaxed);
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                ghosts.push((w * 64 + b) as VertexId);
-                bits &= bits - 1;
-            }
-        }
-        let ghost_words = ghost_bits.len();
-        drop(ghost_bits);
-
-        let below = ghosts.partition_point(|&g| g < start);
-        let mut locals = Vec::with_capacity(owned + ghosts.len());
-        locals.extend_from_slice(&ghosts[..below]);
-        locals.extend(start..end);
-        locals.extend_from_slice(&ghosts[below..]);
-        debug_assert!(locals.windows(2).all(|w| w[0] < w[1]));
-
-        let ghosts_ref = &ghosts;
-        let to_local = move |v: VertexId| -> u32 {
-            if v >= start && v < end {
-                below as u32 + (v - start)
-            } else if v < start {
-                ghosts_ref[..below].binary_search(&v).expect("fringe covers every neighbor") as u32
-            } else {
-                (below + owned + ghosts_ref[below..].binary_search(&v).expect("fringe")) as u32
-            }
+        let ghost_words = n.div_ceil(64);
+        let mut map = ShardRows {
+            fringe: Fringe::new(start, end, Vec::new()),
+            ghost_bits: (0..ghost_words).map(|_| AtomicU64::new(0)).collect(),
         };
-
-        // ---- Prefix sums (narrow by invariant) and allocation. -----------
-        let mut out_offsets: Vec<u32> = Vec::with_capacity(owned + 1);
-        let mut in_offsets: Vec<u32> = Vec::with_capacity(owned + 1);
-        {
-            let mut acc_out = 0u32;
-            let mut acc_in = 0u32;
-            out_offsets.push(0);
-            in_offsets.push(0);
-            for v in 0..owned {
-                acc_out = acc_out
-                    .checked_add(out_cnt[v].load(Ordering::Relaxed))
-                    .ok_or(BuildError::OffsetOverflow)?;
-                acc_in = acc_in
-                    .checked_add(in_cnt[v].load(Ordering::Relaxed))
-                    .ok_or(BuildError::OffsetOverflow)?;
-                out_offsets.push(acc_out);
-                in_offsets.push(acc_in);
-            }
-        }
-        let mut out_targets = vec![0u32; out_offsets[owned] as usize];
-        let mut in_sources = vec![0u32; in_offsets[owned] as usize];
-
-        // Reuse the counter planes as scatter cursors.
-        for c in &out_cnt {
-            c.store(0, Ordering::Relaxed);
-        }
-        for c in &in_cnt {
-            c.store(0, Ordering::Relaxed);
-        }
-
-        // ---- Pass 2: scatter owned edges as local ids. -------------------
-        {
-            let out_slots = SharedSlice(out_targets.as_mut_ptr());
-            let in_slots = SharedSlice(in_sources.as_mut_ptr());
-            let out_offsets = &out_offsets;
-            let in_offsets = &in_offsets;
-            let out_cnt = &out_cnt;
-            let in_cnt = &in_cnt;
-            let to_local = &to_local;
-            let next_chunk = AtomicUsize::new(0);
-            pool.run(&|_worker| loop {
-                let c = next_chunk.fetch_add(1, Ordering::Relaxed);
-                if c >= num_chunks {
-                    break;
-                }
-                src.emit(c, &mut |u, v| {
-                    assert!(
-                        (u as usize) < n && (v as usize) < n,
-                        "ChunkedEdges emitted edge ({u},{v}) in pass 2 absent from pass 1"
-                    );
-                    if cfg.drop_self_loops && u == v {
-                        return;
-                    }
-                    if u >= start && u < end {
-                        let i = (u - start) as usize;
-                        let slot = out_cnt[i].fetch_add(1, Ordering::Relaxed) as usize;
-                        let idx = out_offsets[i] as usize + slot;
-                        assert!(
-                            idx < out_offsets[i + 1] as usize,
-                            "pass 2 emitted more out-edges of {u} than pass 1"
-                        );
-                        // SAFETY: idx is inside vertex u's run (checked
-                        // above) and uniquely claimed by the fetch_add.
-                        unsafe { out_slots.write(idx, to_local(v)) };
-                    }
-                    if v >= start && v < end {
-                        let i = (v - start) as usize;
-                        let slot = in_cnt[i].fetch_add(1, Ordering::Relaxed) as usize;
-                        let idx = in_offsets[i] as usize + slot;
-                        assert!(
-                            idx < in_offsets[i + 1] as usize,
-                            "pass 2 emitted more in-edges of {v} than pass 1"
-                        );
-                        // SAFETY: as above, for the in-direction.
-                        unsafe { in_slots.write(idx, to_local(u)) };
-                    }
-                });
-            });
-        }
-
-        // ---- Pass 3: canonicalize runs. ----------------------------------
-        // The local↔global mapping is monotone, so sorting runs of local
-        // ids yields exactly the mapped image of the global build's sorted
-        // runs — this is what pins streamed ≡ staged per shard.
-        {
-            const BLOCK: usize = 4096;
-            let num_blocks = owned.div_ceil(BLOCK);
-            let out_ptr = SharedSlice(out_targets.as_mut_ptr());
-            let in_ptr = SharedSlice(in_sources.as_mut_ptr());
-            let out_offsets = &out_offsets;
-            let in_offsets = &in_offsets;
-            let next_block = AtomicUsize::new(0);
-            pool.run(&|_worker| loop {
-                let b = next_block.fetch_add(1, Ordering::Relaxed);
-                if b >= num_blocks {
-                    break;
-                }
-                let lo = b * BLOCK;
-                let hi = (lo + BLOCK).min(owned);
-                for v in lo..hi {
-                    // SAFETY: runs are disjoint per vertex, and each vertex
-                    // belongs to exactly one block.
-                    unsafe {
-                        let run = std::slice::from_raw_parts_mut(
-                            out_ptr.base().add(out_offsets[v] as usize),
-                            (out_offsets[v + 1] - out_offsets[v]) as usize,
-                        );
-                        run.sort_unstable();
-                        let run = std::slice::from_raw_parts_mut(
-                            in_ptr.base().add(in_offsets[v] as usize),
-                            (in_offsets[v + 1] - in_offsets[v]) as usize,
-                        );
-                        run.sort_unstable();
-                    }
-                }
-            });
-            let _ = (out_ptr, in_ptr);
-        }
-
-        // ---- Optional dedup compaction. ----------------------------------
-        // Mirrors the full build: duplicates of an owned edge sit adjacent
-        // in its sorted local runs, so per-run compaction removes exactly
-        // what GraphBuilder's global dedup would.
-        let mut duplicates_removed = 0u64;
-        if cfg.dedup {
-            let before = out_targets.len() + in_sources.len();
-            compact_runs(&mut out_offsets, &mut out_targets);
-            compact_runs(&mut in_offsets, &mut in_sources);
-            duplicates_removed = (before - out_targets.len() - in_sources.len()) as u64;
-            // Like the full build: hand the compaction slack back, since
-            // `heap_bytes` charges capacity and the view lives for the
-            // whole window.
-            out_targets.shrink_to_fit();
-            in_sources.shrink_to_fit();
-        }
-
-        let transient_bytes =
-            2 * owned * std::mem::size_of::<AtomicU32>() + ghost_words * std::mem::size_of::<u64>();
-        drop(out_cnt);
-        drop(in_cnt);
+        let rows = ingest_rows(src, cfg, pool, &mut map)?;
 
         let view = ShardView {
             shard,
-            start,
-            end,
-            ghosts,
-            locals,
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_sources,
+            locals: map.fringe.locals(),
+            fringe: map.fringe,
+            out_offsets: rows.out_offsets,
+            out_targets: rows.out_targets,
+            in_offsets: rows.in_offsets,
+            in_sources: rows.in_sources,
         };
         let report = ShardIngestReport {
-            raw_edges,
+            raw_edges: rows.raw_edges,
             owned_out_edges: view.out_targets.len(),
             owned_in_edges: view.in_sources.len(),
-            self_loops_dropped: loops_dropped,
-            duplicates_removed,
+            self_loops_dropped: rows.self_loops_dropped,
+            duplicates_removed: rows.out_duplicates + rows.in_duplicates,
             view_bytes: view.heap_bytes(),
-            transient_bytes,
+            transient_bytes: rows.counter_bytes + ghost_words * std::mem::size_of::<u64>(),
         };
         Ok((view, report))
     }
@@ -548,17 +379,17 @@ impl ShardView {
 
     /// The half-open owned global-id range.
     pub fn owned_range(&self) -> (VertexId, VertexId) {
-        (self.start, self.end)
+        (self.fringe.start, self.fringe.end)
     }
 
     /// Number of owned vertices.
     pub fn num_owned(&self) -> usize {
-        (self.end - self.start) as usize
+        self.fringe.num_owned()
     }
 
     /// Number of ghost-fringe vertices.
     pub fn num_ghosts(&self) -> usize {
-        self.ghosts.len()
+        self.fringe.ghosts.len()
     }
 
     /// Owned plus ghost vertices — the size of the shard's working set.
@@ -568,7 +399,7 @@ impl ShardView {
 
     /// The sorted ghost fringe (global ids).
     pub fn ghosts(&self) -> &[VertexId] {
-        &self.ghosts
+        &self.fringe.ghosts
     }
 
     /// All local vertices in local-id order (ascending global ids).
@@ -578,20 +409,12 @@ impl ShardView {
 
     /// Whether this view owns global vertex `v`.
     pub fn owns(&self, v: VertexId) -> bool {
-        v >= self.start && v < self.end
+        self.fringe.owns(v)
     }
 
     /// Local id of global vertex `v`, if `v` is owned or in the fringe.
     pub fn to_local(&self, v: VertexId) -> Option<u32> {
-        if self.owns(v) {
-            let below = self.locals.len() - self.num_owned() - self.ghosts_above();
-            return Some(below as u32 + (v - self.start));
-        }
-        self.locals.binary_search(&v).ok().map(|i| i as u32)
-    }
-
-    fn ghosts_above(&self) -> usize {
-        self.ghosts.len() - self.ghosts.partition_point(|&g| g < self.start)
+        self.fringe.to_local(v)
     }
 
     /// Global id of local vertex `l`.
@@ -608,14 +431,14 @@ impl ShardView {
     /// global CSR's adjacency order.
     pub fn out_neighbors_of(&self, v: VertexId) -> &[u32] {
         debug_assert!(self.owns(v));
-        let i = (v - self.start) as usize;
+        let i = (v - self.fringe.start) as usize;
         &self.out_targets[self.out_offsets[i] as usize..self.out_offsets[i + 1] as usize]
     }
 
     /// In-neighbors (as local ids) of **owned** global vertex `v`.
     pub fn in_neighbors_of(&self, v: VertexId) -> &[u32] {
         debug_assert!(self.owns(v));
-        let i = (v - self.start) as usize;
+        let i = (v - self.fringe.start) as usize;
         &self.in_sources[self.in_offsets[i] as usize..self.in_offsets[i + 1] as usize]
     }
 
@@ -623,7 +446,7 @@ impl ShardView {
     /// the owned local-id CSR, all `u32` — the per-shard resident
     /// footprint the memory gates account.
     pub fn heap_bytes(&self) -> usize {
-        (self.ghosts.capacity()
+        (self.fringe.ghosts.capacity()
             + self.locals.capacity()
             + self.out_offsets.capacity()
             + self.out_targets.capacity()
@@ -823,6 +646,16 @@ mod tests {
             ShardView::build_streamed(&src, StreamConfig::verbatim(), &spec, 0, &ScopedPool(1))
                 .unwrap_err();
         assert_eq!(err, BuildError::EdgeOutOfRange { u: 9, v: 3, n: 4 });
+    }
+
+    #[test]
+    fn mismatched_spec_is_typed_error() {
+        let src = VecSource { n: 4, chunk: 8, edges: vec![(0, 1)] };
+        let spec = ShardSpec::contiguous(3, 2);
+        let err =
+            ShardView::build_streamed(&src, StreamConfig::verbatim(), &spec, 0, &ScopedPool(1))
+                .unwrap_err();
+        assert_eq!(err, BuildError::ShardSpecMismatch { spec: 3, n: 4 });
     }
 
     #[test]

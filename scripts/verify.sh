@@ -107,9 +107,10 @@ grep -q '"restart_bit_exact": true' EXPERIMENTS-data/BENCH_serve.json \
   || { echo "BENCH_serve.json is missing the restart bit-exact cross-check"; exit 1; }
 
 echo "==> streamed-vs-staged ingest determinism gate (property tests)"
-# The streaming two-pass CSR build must equal Graph::from_edges /
-# GraphBuilder::build bit-for-bit at any chunking and thread count, and
-# compressed cold adjacency must be observationally equal to raw rows.
+# The streamed two-pass CSR ingest (one kernel for full and shard-resident
+# builds) must equal Graph::from_edges / GraphBuilder::build bit-for-bit at
+# any chunking and thread count, and every streamed shard view must equal
+# ShardView::build over the staged graph.
 cargo test -q -p integration-tests --test streaming
 
 echo "==> paper-scale substrate bench smoke run (BENCH_scale.json)"
@@ -132,9 +133,10 @@ grep -q '"shard_peak_frac_max"' EXPERIMENTS-data/BENCH_scale.json \
   || { echo "BENCH_scale.json is missing the shard-resident gate fields"; exit 1; }
 
 # The full Table II LiveJournal preset (4.8M vertices / ~69M directed
-# edges) needs ~2 GB of headroom for the CSR + compressed twin + placement
-# state; run it only where the host can hold that, and say so EXPLICITLY
-# when skipping (the CI-sized run above still gates every contract).
+# edges) needs ~2 GB of headroom for the CSR, the shard-resident views and
+# placement state; run it only where the host can hold that, and say so
+# EXPLICITLY when skipping (the CI-sized run above still gates every
+# contract).
 MEM_AVAILABLE_KB=$(awk '/MemAvailable:/ {print $2}' /proc/meminfo 2>/dev/null || echo 0)
 if [ "$MEM_AVAILABLE_KB" -ge 6291456 ]; then
   echo "==> full-scale LiveJournal substrate run (scale 1.0, BENCH_scale_full.json)"

@@ -1,12 +1,11 @@
 //! Property tests of the paper-scale graph substrate: streamed chunked CSR
-//! ingest must be bit-identical to the staged builders at any thread count
-//! and chunking, and the delta-compressed cold-adjacency representation
-//! must be observationally equal to the raw CSR on every row shape.
+//! ingest — full graph and shard-resident — must be bit-identical to the
+//! staged builders at any thread count and chunking, on every row shape.
 
 use geograph::generators::{rmat_streamed, RmatConfig};
 use geograph::{
-    build_chunked, ChunkedEdges, CompressPolicy, CompressedGraph, Graph, GraphBuilder, OffsetWidth,
-    ScopedPool, ShardSpec, ShardView, StreamConfig, VertexId,
+    build_chunked, ChunkedEdges, Graph, GraphBuilder, OffsetWidth, ScopedPool, ShardSpec,
+    ShardView, StreamConfig, VertexId,
 };
 use proptest::prelude::*;
 
@@ -88,36 +87,11 @@ proptest! {
         }
     }
 
-    /// Compressed adjacency is observationally equal to the raw CSR for
-    /// every row — degrees, neighbor runs (duplicates preserved), and the
-    /// exact round-trip — under every hot/cold split.
-    #[test]
-    fn compressed_matches_raw((n, edges) in arb_edges()) {
-        let graph = Graph::from_edges(n, &edges);
-        for policy in [
-            CompressPolicy::all_cold(),
-            CompressPolicy::auto(),
-            CompressPolicy { hot_min_degree: 1 },
-        ] {
-            let compressed = CompressedGraph::from_graph(&graph, policy);
-            let mut buf = Vec::new();
-            for v in 0..n as VertexId {
-                prop_assert_eq!(compressed.out_degree(v), graph.out_degree(v));
-                prop_assert_eq!(compressed.in_degree(v), graph.in_degree(v));
-                prop_assert_eq!(compressed.out_neighbors(v, &mut buf), graph.out_neighbors(v));
-                let iterated: Vec<VertexId> = compressed.in_neighbors_iter(v).collect();
-                prop_assert_eq!(&iterated[..], graph.in_neighbors(v));
-            }
-            prop_assert_eq!(&compressed.to_graph(), &graph);
-        }
-    }
-
     /// Offset width is representation, not content: a graph force-widened
     /// to u64 offsets is equal (value semantics) to its narrow twin, the
     /// widened twin round-trips back to narrow bit-for-bit, both encode to
-    /// the identical canonical wire blob, and every derived view — staged,
-    /// streamed at any chunking/threading, compressed — agrees regardless
-    /// of which width it was built from.
+    /// the identical canonical wire blob, and the streamed build at any
+    /// chunking/threading agrees with both.
     #[test]
     fn narrow_equals_wide_across_every_path((n, edges) in arb_edges()) {
         let narrow = Graph::from_edges(n, &edges);
@@ -145,17 +119,6 @@ proptest! {
                 );
             }
         }
-        let from_narrow = CompressedGraph::from_graph(&narrow, CompressPolicy::auto());
-        let from_wide = CompressedGraph::from_graph(&wide, CompressPolicy::auto());
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for v in 0..n as VertexId {
-            prop_assert_eq!(
-                from_narrow.out_neighbors(v, &mut a),
-                from_wide.out_neighbors(v, &mut b)
-            );
-        }
-        prop_assert_eq!(&from_wide.to_graph(), &narrow);
     }
 
     /// The shard-resident ingest contract at property-test scale: for any
@@ -209,9 +172,11 @@ fn streamed_rmat_deterministic_across_thread_counts() {
 }
 
 #[test]
-fn compressed_handles_empty_and_max_degree_rows() {
+fn streamed_handles_empty_and_max_degree_rows() {
     // Vertex 0 is a maximal-degree hub in both directions; vertices past
-    // the fan are fully isolated (empty rows in both directions).
+    // the fan are fully isolated (empty rows in both directions). A run
+    // spanning many scatter chunks must come out sorted and whole, for the
+    // full build and for every shard.
     let n = 600usize;
     let mut edges = Vec::new();
     for v in 1..300 as VertexId {
@@ -219,51 +184,32 @@ fn compressed_handles_empty_and_max_degree_rows() {
         edges.push((v, 0));
     }
     let graph = Graph::from_edges(n, &edges);
-    for policy in [CompressPolicy::all_cold(), CompressPolicy::auto()] {
-        let compressed = CompressedGraph::from_graph(&graph, policy);
-        let mut buf = Vec::new();
-        assert_eq!(compressed.out_neighbors(0, &mut buf), graph.out_neighbors(0));
-        assert_eq!(compressed.out_degree(0), 299);
-        for v in 300..n as VertexId {
-            assert_eq!(compressed.out_degree(v), 0);
-            assert!(compressed.out_neighbors(v, &mut buf).is_empty());
-            assert!(compressed.in_neighbors_iter(v).next().is_none());
+    let src = VecChunks::split(n, &edges, 7);
+    for threads in [1usize, 2] {
+        let (streamed, _) =
+            build_chunked(&src, StreamConfig::verbatim(), &ScopedPool(threads)).unwrap();
+        assert_eq!(streamed, graph);
+        assert_eq!(streamed.out_degree(0), 299);
+        assert!((300..n as VertexId).all(|v| streamed.out_degree(v) + streamed.in_degree(v) == 0));
+        let spec = ShardSpec::contiguous(n, 3);
+        for s in 0..3 {
+            let (view, _) = ShardView::build_streamed(
+                &src,
+                StreamConfig::verbatim(),
+                &spec,
+                s,
+                &ScopedPool(threads),
+            )
+            .unwrap();
+            assert_eq!(view, ShardView::build(&graph, &spec, s));
         }
-        assert_eq!(compressed.to_graph(), graph);
     }
 }
 
 #[test]
-fn compression_shrinks_a_dense_tail() {
-    // Degree ~12 per vertex with mostly-local targets: gap encoding packs
-    // each neighbor into 1–2 bytes vs 4 raw, comfortably beating the
-    // second offset array the compressed form carries. (The sparse hub
-    // fixture above is the opposite regime — per-vertex overhead dominates
-    // at degree 1 and compression rightly loses there.)
-    let n = 600usize;
-    let mut edges = Vec::new();
-    for v in 0..n as VertexId {
-        for k in 1..=12 {
-            edges.push((v, (v + k) % n as VertexId));
-        }
-    }
-    let graph = Graph::from_edges(n, &edges);
-    let cold = CompressedGraph::from_graph(&graph, CompressPolicy::all_cold());
-    assert!(
-        cold.heap_bytes() < graph.heap_bytes(),
-        "compression saved nothing: {} vs raw {}",
-        cold.heap_bytes(),
-        graph.heap_bytes()
-    );
-    assert_eq!(cold.to_graph(), graph);
-}
-
-#[test]
-fn empty_graph_streams_and_compresses() {
+fn empty_graph_streams() {
     let src = VecChunks::split(5, &[], 1);
     let (g, report) = build_chunked(&src, StreamConfig::cleaned(), &ScopedPool(4)).unwrap();
     assert_eq!(g, Graph::empty(5));
     assert_eq!(report.edges, 0);
-    let compressed = CompressedGraph::from_graph(&g, CompressPolicy::auto());
-    assert_eq!(compressed.to_graph(), g);
 }
