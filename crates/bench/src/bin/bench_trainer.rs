@@ -10,12 +10,13 @@
 //!                 [--threads-list 1,2,4,8] [--out path]
 
 use std::fmt::Write as _;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use geograph::locality::LocalityConfig;
 use geograph::{Dataset, GeoGraph};
 use geosim::regions::ec2_eight_regions;
-use rlcut::{RlCutConfig, RlCutResult};
+use rlcut::observer::NoopObserver;
+use rlcut::{RlCutConfig, RlCutResult, TrainerSession};
 
 struct Args {
     scale: f64,
@@ -63,6 +64,9 @@ struct RunRecord {
     threads: usize,
     steps_run: usize,
     total: Duration,
+    /// Wall time of `TrainerSession::new` (agent pool, sampling order,
+    /// initial objective) — outside `total`, which starts after it.
+    session_new: Duration,
     score: Duration,
     migrate: Duration,
     migrations: usize,
@@ -85,13 +89,28 @@ fn run_cell(
 ) -> (RunRecord, Vec<geograph::DcId>, usize) {
     let config = base.clone().with_threads(threads);
     let profile = geopart::TrafficProfile::uniform(geo.num_vertices(), 8.0);
+    let theta = config.theta.unwrap_or_else(|| geograph::degree::suggest_theta(&geo.graph, 0.05));
     let mut best: Option<(RunRecord, RlCutResult<'_>)> = None;
     for _ in 0..reps.max(1) {
-        let result = rlcut::partition(geo, env, profile.clone(), 10.0, &config);
+        // `rlcut::partition` with the session construction timed apart.
+        let state = geopart::HybridState::from_masters(
+            geo,
+            env,
+            geo.locations.clone(),
+            theta,
+            profile.clone(),
+            10.0,
+        );
+        let new_start = Instant::now();
+        let mut session = TrainerSession::new(geo, env, state, config.clone());
+        let session_new = new_start.elapsed();
+        let Ok(()) = session.run(env, &mut NoopObserver);
+        let result = session.finish(env);
         let record = RunRecord {
             threads,
             steps_run: result.steps.len(),
             total: result.total_duration,
+            session_new,
             score: result.steps.iter().map(|s| s.score_duration).sum(),
             migrate: result.steps.iter().map(|s| s.migrate_duration).sum(),
             migrations: result.total_migrations(),
@@ -134,9 +153,10 @@ fn main() {
         let (record, masters, sb) = run_cell(&geo, &env, &base, threads, args.reps);
         state_bytes = sb;
         eprintln!(
-            "  threads={:<2} {:>7.2} steps/s  (score {:.3}s, migrate {:.3}s, {} migrations)",
+            "  threads={:<2} {:>7.2} steps/s  (session new {:.4}s, score {:.3}s, migrate {:.3}s, {} migrations)",
             record.threads,
             record.steps_per_sec(),
+            record.session_new.as_secs_f64(),
             record.score.as_secs_f64(),
             record.migrate.as_secs_f64(),
             record.migrations,
@@ -175,10 +195,11 @@ fn main() {
     for (i, r) in records.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"threads\": {}, \"steps_per_sec\": {:.4}, \"total_secs\": {:.6}, \"score_secs\": {:.6}, \"migrate_secs\": {:.6}, \"migrations\": {}}}",
+            "    {{\"threads\": {}, \"steps_per_sec\": {:.4}, \"total_secs\": {:.6}, \"session_new_secs\": {:.6}, \"score_secs\": {:.6}, \"migrate_secs\": {:.6}, \"migrations\": {}}}",
             r.threads,
             r.steps_per_sec(),
             r.total.as_secs_f64(),
+            r.session_new.as_secs_f64(),
             r.score.as_secs_f64(),
             r.migrate.as_secs_f64(),
             r.migrations,

@@ -15,8 +15,9 @@
 //!   (`resume_from_parts` / `apply_move_with`), so recovered `f64`
 //!   accumulators match the live run bit for bit.
 //! * [`store`] — the [`store::DurableStore`] facade tying the pieces
-//!   together: create/open a durable directory, append window
-//!   transactions, cut snapshots, prune the log.
+//!   together: create/open a durable directory, load it read-only
+//!   beside a live writer, append window transactions, cut snapshots,
+//!   prune the log.
 //!
 //! ## Window-transactional semantics
 //!

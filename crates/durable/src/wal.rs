@@ -178,18 +178,18 @@ impl Wal {
         })
     }
 
-    /// Scans the existing log and returns an appender positioned after it.
-    /// Always rotates to a fresh segment, so a dropped torn tail is never
-    /// extended.
-    pub fn open(store_dir: &Path) -> Result<(Vec<LoadedRecord>, WalReport, Wal), DurableError> {
-        let (records, report) = load(store_dir)?;
+    /// Returns an appender positioned after `records`, the [`load`] of
+    /// this store's log. Always rotates to a fresh segment, so a dropped
+    /// torn tail is never extended. Only the store's one writer may call
+    /// this: the new segment is where its appends go.
+    pub fn reopen(store_dir: &Path, records: &[LoadedRecord]) -> Result<Wal, DurableError> {
         let dir = wal_dir(store_dir);
         std::fs::create_dir_all(&dir)?;
         let last_seq = segment_paths(store_dir)?.last().map(|&(seq, _)| seq);
         let seq = last_seq.map_or(0, |s| s + 1);
         let next_lsn = records.last().map_or(0, |r| r.lsn + 1);
         let file = start_segment(&dir, seq, next_lsn)?;
-        let wal = Wal {
+        Ok(Wal {
             dir,
             file,
             seq,
@@ -197,8 +197,7 @@ impl Wal {
             written: HEADER_BYTES,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             appended_bytes: 0,
-        };
-        Ok((records, report, wal))
+        })
     }
 
     /// Overrides the rotation threshold (tests use tiny segments to
@@ -439,7 +438,8 @@ mod tests {
         wal.append(1, b"b").unwrap();
         wal.sync().unwrap();
         drop(wal);
-        let (records, _, mut wal) = Wal::open(&dir).unwrap();
+        let (records, _) = load(&dir).unwrap();
+        let mut wal = Wal::reopen(&dir, &records).unwrap();
         assert_eq!(records.len(), 2);
         assert_eq!(wal.next_lsn(), 2);
         assert_eq!(wal.append(2, b"c").unwrap(), 2);

@@ -209,6 +209,20 @@ impl Graph {
         self.in_degree(v) + self.out_degree(v)
     }
 
+    /// [`Graph::degree`] of every vertex as `u32`, in one pass per offset
+    /// array with the width dispatched once per array rather than once per
+    /// read. `None` past `u32::MAX / 2` edges, where a total degree (at
+    /// most twice the edge count) might not fit `u32`.
+    pub fn total_degrees(&self) -> Option<Vec<u32>> {
+        if self.num_edges() > (u32::MAX / 2) as usize {
+            return None;
+        }
+        let mut degrees = vec![0u32; self.n];
+        self.out_offsets.add_run_lengths(&mut degrees);
+        self.in_offsets.add_run_lengths(&mut degrees);
+        Some(degrees)
+    }
+
     /// Iterates all vertices `0..n`.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
         0..self.n as VertexId
@@ -444,6 +458,9 @@ mod tests {
         assert_eq!(g.in_degree(0), 0);
         assert_eq!(g.in_degree(3), 2);
         assert_eq!(g.degree(1), 2);
+        assert_eq!(g.total_degrees().unwrap(), [2, 2, 2, 2]);
+        let wide = g.with_offset_width(OffsetWidth::U64).unwrap();
+        assert_eq!(wide.total_degrees().unwrap(), [2, 2, 2, 2]);
     }
 
     #[test]

@@ -178,6 +178,26 @@ impl Offsets {
         }
     }
 
+    /// Adds each row's length `get(v + 1) − get(v)` to `acc[v]`, with the
+    /// width dispatched once for the whole array instead of once per row.
+    /// The caller guarantees every sum fits `u32` (see
+    /// [`crate::Graph::total_degrees`]).
+    pub(crate) fn add_run_lengths(&self, acc: &mut [u32]) {
+        debug_assert_eq!(acc.len() + 1, self.len().max(1));
+        match self {
+            Offsets::U32(o) => {
+                for (a, w) in acc.iter_mut().zip(o.windows(2)) {
+                    *a += w[1] - w[0];
+                }
+            }
+            Offsets::U64(o) => {
+                for (a, w) in acc.iter_mut().zip(o.windows(2)) {
+                    *a += (w[1] - w[0]) as u32;
+                }
+            }
+        }
+    }
+
     /// Iterates entries as `usize`.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.len()).map(move |i| self.get(i))

@@ -7,7 +7,8 @@
 //!
 //! * **Boot** — [`PlacementServer::boot_from_store`] recovers the last
 //!   committed placement from a [`geodur::DurableStore`] (snapshot + WAL
-//!   replay, bit-exact) and serves it immediately, *without retraining*.
+//!   replay, bit-exact, read-only) and serves it immediately, *without
+//!   retraining*.
 //!   A restarted server answers with the same masters the dead one did.
 //! * **Live re-partitioning** — [`PlacementServer::attach`] installs a
 //!   commit hook on a [`DurableAdaptive`] trainer: each committed window
@@ -105,13 +106,16 @@ impl PlacementServer {
     /// Boots from the durable store at `dir`: latest snapshot + WAL
     /// replay, then serves the recovered placement as epoch 1. No
     /// training happens — a restart serves exactly the masters the
-    /// previous process committed. `env` must fingerprint-match the
-    /// store ([`DurableError::EnvMismatch`] otherwise).
+    /// previous process committed. The load is read-only
+    /// ([`DurableStore::load`]), so a server may boot beside the store's
+    /// live writer without disturbing its log. `env` must
+    /// fingerprint-match the store ([`DurableError::EnvMismatch`]
+    /// otherwise).
     pub fn boot_from_store(
         dir: &Path,
         env: &CloudEnv,
     ) -> Result<(PlacementServer, BootReport), ServeError> {
-        let (recovered, _report, _store) = DurableStore::recover(dir, env)?;
+        let (recovered, _report) = DurableStore::load(dir, env)?;
         let window = recovered.next_window;
         let table = match &recovered.parts {
             Some((core, _theta)) => RoutingTable::from_placement(window, core),

@@ -21,6 +21,13 @@ cargo run --release -p geobench --bin bench_trainer -- \
   --scale 0.0002 --steps 3 --reps 2 --threads-list 1,4 \
   --out EXPERIMENTS-data/BENCH_trainer.json
 
+echo "==> sampling-order gate (counting sort == (degree, id) comparison sort)"
+# The degree-ascending sampling order is a stable counting sort; the
+# property tests pin it element for element to the former comparison sort
+# (random multigraphs, empty/all-isolated graphs, a lone hub, u64
+# offsets), and build_order to the same sort minus isolated vertices.
+cargo test -q -p rlcut degree_order
+
 echo "==> pool determinism cross-check (1 vs 4 threads)"
 cargo test -q -p rlcut deterministic_across_thread_counts
 
@@ -88,12 +95,14 @@ echo "==> per-pair link fault determinism gate"
 # RNG stream untouched when unused.
 cargo test -q -p geosim pair_
 
-echo "==> serving consistency gates (exactly-one-epoch, evacuation, boot-from-store)"
+echo "==> serving consistency gates (exactly-one-epoch, evacuation, boot-from-store, boot beside a writer)"
 # The serving layer's contract: every response is served from exactly one
 # published epoch across concurrent plan flips, a DC killed mid-traffic
-# never yields a dead-master response after the evacuation epoch, and a
+# never yields a dead-master response after the evacuation epoch, a
 # daemon rebooted from the DurableStore serves bit-exact masters without
-# retraining.
+# retraining, and a boot beside the live writer is read-only: it starts
+# no WAL segment and later recovery matches the writer bit for bit
+# (booting_beside_a_live_writer_keeps_recovery_intact).
 cargo test -q -p integration-tests --test serving
 
 echo "==> serving bench smoke run (boot from store, lookups under live flips, BENCH_serve.json)"

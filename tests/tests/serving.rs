@@ -313,3 +313,50 @@ fn boot_from_store_matches_the_live_server_bit_exactly() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A server booted beside a live writer loads the store read-only: the
+/// boot starts no WAL segment, the writer keeps committing, and once the
+/// writer dies recovery succeeds with its masters and movement-cost bits.
+/// (A boot that opened the log for appends left an empty segment behind
+/// the writer's, and recovery then failed with `LsnGap`.)
+#[test]
+fn booting_beside_a_live_writer_keeps_recovery_intact() {
+    let w = workload();
+    let env = ec2_eight_regions();
+    let t_opt = Duration::from_secs(60);
+    let dir = tmp_dir("beside_writer");
+    let (first, rest) = w.steps.split_first().expect("several delta windows");
+
+    let mut trainer =
+        DurableAdaptive::create(&dir, pinned_config(), Some(0.4), w.geo0.clone(), &env, 0)
+            .expect("create");
+    let p0 = TrafficProfile::uniform(w.geo0.num_vertices(), 8.0);
+    trainer.window(&env, None, &[], &[], p0, 10.0, t_opt).expect("window 0");
+    let (delta, locs, sizes) = first;
+    let p = TrafficProfile::uniform(delta.new_num_vertices(), 8.0);
+    trainer.window(&env, Some(delta), locs, sizes, p, 10.0, t_opt).expect("delta window");
+
+    let segments = geodur::wal::segment_paths(&dir).expect("list segments");
+    let (booted, report) = PlacementServer::boot_from_store(&dir, &env).expect("boot");
+    assert_eq!(geodur::wal::segment_paths(&dir).unwrap(), segments, "boot started a segment");
+    assert_eq!(report.window, trainer.next_window());
+    assert_eq!(booted.reader().pin().masters(), trainer.masters());
+
+    for (delta, locs, sizes) in rest {
+        let p = TrafficProfile::uniform(delta.new_num_vertices(), 8.0);
+        trainer.window(&env, Some(delta), locs, sizes, p, 10.0, t_opt).expect("later window");
+    }
+    let live = {
+        let (core, _) = trainer.inner().carried_parts().expect("committed state");
+        (core.masters().to_vec(), core.movement_cost().to_bits(), trainer.next_window())
+    };
+    drop(trainer);
+
+    let (recovered, summary) =
+        DurableAdaptive::recover(&dir, pinned_config(), Some(0.4), &env, 0).expect("recover");
+    let (core, _) = recovered.inner().carried_parts().expect("recovered state");
+    assert_eq!(summary.next_window, live.2);
+    assert_eq!(core.masters(), &live.0[..], "recovered masters diverged from the writer's");
+    assert_eq!(core.movement_cost().to_bits(), live.1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
