@@ -86,6 +86,10 @@ pub fn masters_fnv(masters: &[geograph::DcId]) -> u64 {
     fnv1a(masters)
 }
 
+/// The [`DurableError::RecordSequence`] reason for a log whose oldest
+/// record is newer than the snapshot's resume point.
+pub(crate) const LOG_PAST_SNAPSHOT: &str = "log starts past the snapshot's resume point";
+
 /// Replays `records` on top of `snapshot`, returning the pipeline state
 /// at the last committed window boundary. `env` must be the environment
 /// the store was written under — its fingerprint is checked against the
@@ -108,10 +112,7 @@ pub fn replay(
     let start = records.partition_point(|r| r.lsn < snapshot.lsn);
     if let Some(first) = records.get(start) {
         if first.lsn != snapshot.lsn {
-            return Err(DurableError::RecordSequence {
-                lsn: first.lsn,
-                reason: "log starts past the snapshot's resume point",
-            });
+            return Err(DurableError::RecordSequence { lsn: first.lsn, reason: LOG_PAST_SNAPSHOT });
         }
     }
     let records = &records[start..];
